@@ -103,59 +103,117 @@ func sortedByRank(ops []BatchOp) []BatchOp {
 	return out
 }
 
-// TestBulkLoadInvariants loads random classified sets and checks the full
-// structural invariant suite plus the Kruskal ground truth, then keeps
-// churning incrementally on top of the loaded state.
+// checkLCT checks the link-cut forest against the forest flags: a handle
+// exactly for the tree edges, carrying the edge's endpoints and weight, and
+// for every non-tree edge a tree path between its endpoints with no edge
+// heavier than it (the cycle property).
+func checkLCT(t *testing.T, m *MSF) {
+	t.Helper()
+	g := m.Graph()
+	for id, h := range m.lctE {
+		e := g.ByID(int32(id))
+		if e == nil || !e.Tree {
+			if h != nil {
+				t.Fatalf("edge id %d: link-cut handle without a live tree edge", id)
+			}
+			continue
+		}
+		if h == nil {
+			t.Fatalf("tree edge (%d,%d): no link-cut handle", e.U, e.V)
+		}
+		if h.W != e.W || !(h.U == int(e.U) && h.V == int(e.V) || h.U == int(e.V) && h.V == int(e.U)) {
+			t.Fatalf("tree edge (%d,%d,%d): handle (%d,%d,%d)", e.U, e.V, e.W, h.U, h.V, h.W)
+		}
+	}
+	g.Edges(func(e *graph.Edge) bool {
+		if int(e.ID) >= len(m.lctE) {
+			t.Fatalf("edge id %d beyond the handle table", e.ID)
+		}
+		if e.Tree {
+			return true
+		}
+		u, v := int(e.U), int(e.V)
+		if !m.lf.Connected(u, v) {
+			t.Fatalf("non-tree edge (%d,%d): endpoints in different link-cut trees", u, v)
+		}
+		if pm := m.lf.PathMaxEdge(u, v); pm.W > e.W {
+			t.Fatalf("non-tree edge (%d,%d,%d): tree path holds heavier edge (%d,%d,%d)",
+				u, v, e.W, pm.U, pm.V, pm.W)
+		}
+		return true
+	})
+}
+
+// TestBulkLoadInvariants loads random classified sets, with distinct and
+// with heavily tied weights, and checks the full structural invariant suite,
+// the link-cut forest and the Kruskal ground truth, then keeps churning
+// incrementally on top of the loaded state.
 func TestBulkLoadInvariants(t *testing.T) {
-	for _, n := range []int{8, 24, 64, 200} {
-		n := n
-		t.Run(sizeName(n), func(t *testing.T) {
-			rng := xrand.New(uint64(4000 + n))
-			ops := genBounded(rng, n, n*5/4, 0)
-			m := NewMSF(n, Config{}, SeqCharger{})
-			for i, err := range m.BulkLoad(ops, classifyMSF(n, ops)) {
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
+	for _, tc := range []struct {
+		suffix  string
+		tieSpan int
+	}{{"", 0}, {"-ties", 4}} {
+		for _, n := range []int{8, 24, 64, 200} {
+			testBulkLoadChurn(t, n, tc.tieSpan, sizeName(n)+tc.suffix)
+		}
+	}
+}
+
+func testBulkLoadChurn(t *testing.T, n, tieSpan int, name string) {
+	t.Run(name, func(t *testing.T) {
+		rng := xrand.New(uint64(4000 + n + tieSpan))
+		ops := genBounded(rng, n, n*5/4, tieSpan)
+		m := NewMSF(n, Config{}, SeqCharger{})
+		for i, err := range m.BulkLoad(ops, classifyMSF(n, ops)) {
+			if err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+		checkAll(t, m)
+		checkLCT(t, m)
+
+		// The loaded state must behave as any other engine state under
+		// further incremental updates. Under ties the inserts draw from the
+		// same small weight range, so cycle swaps hit equal-weight path
+		// maxima.
+		type pair struct{ u, v int }
+		var live []pair
+		for _, op := range ops {
+			live = append(live, pair{op.U, op.V})
+		}
+		nextW := Weight(1 << 20)
+		for step := 0; step < 120; step++ {
+			if rng.Intn(5) < 2 || len(live) == 0 {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u == v {
+					continue
 				}
+				w := nextW
+				if tieSpan > 0 {
+					w = Weight(rng.Intn(tieSpan))
+				}
+				err := m.InsertEdge(u, v, w)
+				nextW++
+				if err == graph.ErrDegree || err == graph.ErrExists {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				live = append(live, pair{u, v})
+			} else {
+				i := rng.Intn(len(live))
+				p := live[i]
+				if err := m.DeleteEdge(p.u, p.v); err != nil {
+					t.Fatalf("step %d: delete(%d,%d): %v", step, p.u, p.v, err)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
 			}
 			checkAll(t, m)
-
-			// The loaded state must behave as any other engine state under
-			// further incremental updates.
-			type pair struct{ u, v int }
-			var live []pair
-			for _, op := range ops {
-				live = append(live, pair{op.U, op.V})
-			}
-			nextW := Weight(1 << 20)
-			for step := 0; step < 120; step++ {
-				if rng.Intn(5) < 2 || len(live) == 0 {
-					u, v := rng.Intn(n), rng.Intn(n)
-					if u == v {
-						continue
-					}
-					err := m.InsertEdge(u, v, nextW)
-					nextW++
-					if err == graph.ErrDegree || err == graph.ErrExists {
-						continue
-					}
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					live = append(live, pair{u, v})
-				} else {
-					i := rng.Intn(len(live))
-					p := live[i]
-					if err := m.DeleteEdge(p.u, p.v); err != nil {
-						t.Fatalf("step %d: delete(%d,%d): %v", step, p.u, p.v, err)
-					}
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
-				}
-				checkAll(t, m)
-			}
-		})
-	}
+			checkLCT(t, m)
+		}
+	})
 }
 
 // TestBulkLoadMatchesIncremental compares a bulk load against an
@@ -200,6 +258,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 					}
 				}
 				checkAll(t, bulk)
+				checkLCT(t, bulk)
 			}
 		})
 	}
@@ -215,8 +274,11 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 			t.Fatalf("want empty errs, got %d", len(errs))
 		}
 		checkAll(t, m)
+		checkLCT(t, m)
 	})
 	t.Run("single", func(t *testing.T) {
+		// Half the vertices stay isolated: the tour index is not rebuilt,
+		// the reached vertices' singleton tours are deleted from it.
 		m := NewMSF(4, Config{}, SeqCharger{})
 		ops := []BatchOp{{U: 1, V: 3, W: 7}}
 		for _, err := range m.BulkLoad(ops, []bool{true}) {
@@ -225,6 +287,7 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 			}
 		}
 		checkAll(t, m)
+		checkLCT(t, m)
 		if m.Weight() != 7 || m.ForestSize() != 1 {
 			t.Fatalf("got w=%d size=%d", m.Weight(), m.ForestSize())
 		}
@@ -244,6 +307,7 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 			}
 		}
 		checkAll(t, m)
+		checkLCT(t, m)
 		if m.ForestSize() != n-1 {
 			t.Fatalf("got size=%d", m.ForestSize())
 		}
@@ -267,6 +331,7 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 			}
 		}
 		checkAll(t, m)
+		checkLCT(t, m)
 		if m.ForestSize() != 2*k {
 			t.Fatalf("got size=%d, want %d", m.ForestSize(), 2*k)
 		}

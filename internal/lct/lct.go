@@ -7,6 +7,12 @@
 // inserted edge. Edges are represented as their own nodes placed between
 // their endpoints, so a path-maximum query over nodes directly yields the
 // heaviest edge (vertices carry weight -infinity).
+//
+// A static load that has proved acyclicity itself builds its trees with Hang
+// instead of Link: no splay, and an O(1) precondition that the child is an
+// isolated tree root (a splay root with no path-parent, no left child and no
+// pending flip). Every preferred path then starts as a single node, a valid
+// state whose potential (at most n log n) later access calls amortize.
 package lct
 
 import "math"
@@ -169,7 +175,9 @@ func (f *Forest) Connected(u, v int) bool {
 
 // Link adds edge (u, v) of weight w to the forest and returns its handle.
 // u and v must be in different trees; Link panics otherwise, since linking
-// within a tree would corrupt the forest invariant.
+// within a tree would corrupt the forest invariant. The incremental paths
+// keep that defensive Connected check (two findRoot passes); a static load
+// that has proved acyclicity itself uses Hang instead.
 func (f *Forest) Link(u, v int, w int64) *Edge {
 	if f.Connected(u, v) {
 		panic("lct: Link within one tree")
@@ -184,6 +192,26 @@ func (f *Forest) Link(u, v int, w int64) *Edge {
 	e.n.p = &f.vs[u]
 	makeRoot(&f.vs[v])
 	f.vs[v].p = &e.n
+	return e
+}
+
+// Hang links child under parent through a new edge of weight w, as
+// Link(child, parent, w) would, by setting two path-parent pointers: the
+// edge node's to parent and child's to the edge node. child must be a splay
+// root with no path-parent, no left child and no pending flip (the root of
+// its represented tree); Hang panics otherwise. parent must not be in
+// child's tree, which Hang does not check.
+func (f *Forest) Hang(child, parent int, w int64) *Edge {
+	c := &f.vs[child]
+	if c.p != nil || c.l != nil || c.flip {
+		panic("lct: Hang of a child that is not an untouched tree root")
+	}
+	e := &Edge{U: child, V: parent, W: w}
+	e.n.w = w
+	e.n.maxn = &e.n
+	e.n.edge = e
+	e.n.p = &f.vs[parent]
+	c.p = &e.n
 	return e
 }
 

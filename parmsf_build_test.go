@@ -307,3 +307,40 @@ func TestBuildClassifyWarmAllocs(t *testing.T) {
 		t.Fatalf("warm classify allocations = %.1f, want <= 40", avg)
 	}
 }
+
+// TestBuildPRAMChargesPinned pins the PRAM depth and work Build charges on
+// fixed inputs, so a change to how the bulk path builds its state (which
+// link-cut operations it runs, how it indexes tours) cannot silently drop
+// or add a charge of the paper's cost model. The worker-pool backend must
+// charge exactly what the sequential simulator does.
+func TestBuildPRAMChargesPinned(t *testing.T) {
+	distinct := toEdges(workload.RandomSparse(240, 960, 41))
+	ties := toEdges(workload.RandomSparse(240, 960, 42))
+	for i := range ties {
+		ties[i].W %= 5
+	}
+	for _, tc := range []struct {
+		name       string
+		edges      []Edge
+		opt        Options
+		time, work int64
+	}{
+		{"distinct", distinct, Options{Parallel: true}, 59412, 104162},
+		{"distinct-workers2", distinct, Options{Parallel: true, Workers: 2}, 59412, 104162},
+		{"ties", ties, Options{Parallel: true}, 59369, 104401},
+		{"sparsify", distinct, Options{Parallel: true, Sparsify: true}, 26880, 514607},
+	} {
+		f, errs := MustBuild(240, tc.edges, tc.opt)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: edge %d: %v", tc.name, i, err)
+			}
+		}
+		m := f.PRAM()
+		if m.Time != tc.time || m.Work != tc.work {
+			t.Errorf("%s: PRAM (time=%d, work=%d), pinned (time=%d, work=%d)",
+				tc.name, m.Time, m.Work, tc.time, tc.work)
+		}
+		f.Close()
+	}
+}
