@@ -8,12 +8,11 @@ import "parmsf/internal/graph"
 // classifies the initial edge set statically — a filter-Kruskal seed
 // partitions it into the minimum spanning forest and its complement — and
 // BulkLoad materializes the final state in one pass per layer: the forest
-// flags (acyclicity checked by union-find), the Euler tours (one DFS per
-// tree, emitting each vertex's copies in cyclic order and hanging the
-// link-cut forest without a splay), the chunk partition with its BTc trees,
-// the CAdj rows (filled directly from the edge list — each row is final
-// before anything reads it), and the LSDS (assembled by joins after the rows
-// are final, so every internal vector is computed exactly once).
+// flags, the Euler tours (one DFS per tree, emitting each vertex's copies in
+// cyclic order and hanging the link-cut forest), the chunk partition with
+// its BTc trees, the CAdj rows (filled directly from the edge list — each row
+// is final before anything reads it), and the LSDS (assembled by joins after
+// the rows are final, so every internal vector is computed exactly once).
 //
 // The incremental path pays for generality it does not need here: every
 // tour splice re-establishes chunk boundaries (splitting chunks, rebuilding
@@ -80,8 +79,7 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	}
 	m.growTables()
 	// Acyclicity of the tree flags is checked by a host union-find rather
-	// than by Link's per-edge findRoot queries. The link-cut forest itself is
-	// hung in the tour DFS below; the link is still charged here, per edge.
+	// than Link's findRoot passes; the link-cut forest is hung in the DFS below.
 	uf := make([]int32, st.n)
 	for v := range uf {
 		uf[v] = int32(v)
@@ -116,12 +114,8 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 		treeDeg[e.V]++
 	}
 	off := make([]int32, st.n+1)
-	isolated := 0
 	for v := 0; v < st.n; v++ {
 		off[v+1] = off[v] + treeDeg[v]
-		if treeDeg[v] == 0 {
-			isolated++
-		}
 	}
 	type half struct{ to, eid int32 }
 	adj := make([]half, off[st.n])
@@ -135,32 +129,15 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	}
 	st.ch.Seq(2 * len(treeEdges))
 
-	// --- Tour root index. The engine was edge-empty, so the index holds one
-	// short singleton tour per vertex; the DFS retires those of the vertices
-	// it reaches, one delete each. When fewer stay isolated than are
-	// reached, the index is first rebuilt from the isolated vertices' tours
-	// alone (the deletes then miss a small map). setRoot adds one per tree. ---
-	if isolated < st.n-isolated {
-		roots := make(map[*lsNode]*Tour, st.n-len(treeEdges))
-		for v, d := range treeDeg {
-			if d == 0 {
-				leaf := st.pcs[v].chunk.leaf
-				roots[leaf] = st.tourByRoot[leaf]
-			}
-		}
-		st.tourByRoot = roots
-	}
-
 	// --- Euler tours and chunk partition, one component at a time. ---
 	// Each tree's tour is emitted by a DFS: a vertex copy on first arrival
 	// and one more after each child returns (the root's last return closes
 	// the cycle onto its first copy instead). The copy before each descent /
-	// return is exactly the edge's occurrence anchor. Each descent also
-	// hangs the child, still an isolated link-cut root, under its DFS parent.
-	// The linear sequence is cut into chunks of weight ~1.5K..2.5K (copies +
-	// charged edges), so Invariant 1 holds by construction: every cut leaves
-	// at least K weight behind, and a tail too light to stand alone is
-	// absorbed into the last chunk (<= 2.5K+4 <= 3K for K >= 8).
+	// return is exactly the edge's occurrence anchor. The linear sequence is
+	// cut into chunks of weight ~1.5K..2.5K (copies + charged edges), so
+	// Invariant 1 holds by construction: every cut leaves at least K weight
+	// behind, and a tail too light to stand alone is absorbed into the last
+	// chunk (<= 2.5K+4 <= 3K for K >= 8).
 	used := make([]bool, st.n) // principal copy consumed / vertex visited
 	type frame struct{ v, eid, idx int32 }
 	var stack []frame
@@ -173,18 +150,20 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 		var cp *Copy
 		if !used[v] {
 			used[v] = true
-			cp = st.pcs[v] // its chunk is replaced below, its BTc leaf reused
+			cp = st.pcs[v]
+			// Retire the singleton tour the vertex has held since NewStore;
+			// its chunk is replaced below, its BTc leaf is reused.
 			delete(st.tourByRoot, cp.chunk.leaf)
 		} else {
 			cp = st.newCopy(int(v))
 		}
 		seq = append(seq, cp)
 	}
-	setOcc := func(from int32, e *graph.Edge, anchor *Copy) {
-		if e.U == from {
-			st.occU[e.ID] = anchor
+	setOcc := func(from, eid int32, anchor *Copy) {
+		if st.g.ByID(eid).U == from {
+			st.occU[eid] = anchor
 		} else {
-			st.occV[e.ID] = anchor
+			st.occV[eid] = anchor
 		}
 	}
 	closeChunk := func() *Chunk {
@@ -218,9 +197,8 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 			if int(f.idx) < len(hs) {
 				h := hs[f.idx]
 				f.idx++
-				e := st.g.ByID(h.eid)
-				setOcc(f.v, e, seq[len(seq)-1])
-				m.lctE[h.eid] = m.lf.Hang(int(h.to), int(f.v), e.W)
+				setOcc(f.v, h.eid, seq[len(seq)-1])
+				m.lctE[h.eid] = m.lf.Hang(int(h.to), int(f.v), st.g.ByID(h.eid).W)
 				appendCopy(h.to)
 				stack = append(stack, frame{v: h.to, eid: h.eid})
 				continue
@@ -231,7 +209,7 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 				break
 			}
 			p := &stack[len(stack)-1]
-			setOcc(v, st.g.ByID(eid), seq[len(seq)-1])
+			setOcc(v, eid, seq[len(seq)-1])
 			if len(stack) == 1 && int(p.idx) >= int(off[p.v+1]-off[p.v]) {
 				continue // root's last return: the cycle closes onto seq[0]
 			}

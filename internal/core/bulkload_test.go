@@ -277,8 +277,8 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 		checkLCT(t, m)
 	})
 	t.Run("single", func(t *testing.T) {
-		// Half the vertices stay isolated: the tour index is not rebuilt,
-		// the reached vertices' singleton tours are deleted from it.
+		// Half the vertices stay isolated: their singleton tours stay in the
+		// root index, the reached vertices' tours are deleted from it.
 		m := NewMSF(4, Config{}, SeqCharger{})
 		ops := []BatchOp{{U: 1, V: 3, W: 7}}
 		for _, err := range m.BulkLoad(ops, []bool{true}) {

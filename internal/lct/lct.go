@@ -8,11 +8,10 @@
 // their endpoints, so a path-maximum query over nodes directly yields the
 // heaviest edge (vertices carry weight -infinity).
 //
-// A static load that has proved acyclicity itself builds its trees with Hang
-// instead of Link: no splay, and an O(1) precondition that the child is an
-// isolated tree root (a splay root with no path-parent, no left child and no
-// pending flip). Every preferred path then starts as a single node, a valid
-// state whose potential (at most n log n) later access calls amortize.
+// A static load that proved acyclicity itself builds its trees with Hang: no
+// splay, only an O(1) check that the child is an isolated tree root (no
+// path-parent, left child or pending flip). Its single-node preferred paths
+// are a valid state whose potential (<= n log n) later accesses amortize.
 package lct
 
 import "math"
@@ -174,10 +173,9 @@ func (f *Forest) Connected(u, v int) bool {
 }
 
 // Link adds edge (u, v) of weight w to the forest and returns its handle.
-// u and v must be in different trees; Link panics otherwise, since linking
-// within a tree would corrupt the forest invariant. The incremental paths
-// keep that defensive Connected check (two findRoot passes); a static load
-// that has proved acyclicity itself uses Hang instead.
+// u and v must be in different trees: for the incremental path Link keeps a
+// defensive Connected check (two findRoot passes) and panics on a violation,
+// which would corrupt the forest invariant. Static loads use Hang instead.
 func (f *Forest) Link(u, v int, w int64) *Edge {
 	if f.Connected(u, v) {
 		panic("lct: Link within one tree")
@@ -196,11 +194,9 @@ func (f *Forest) Link(u, v int, w int64) *Edge {
 }
 
 // Hang links child under parent through a new edge of weight w, as
-// Link(child, parent, w) would, by setting two path-parent pointers: the
-// edge node's to parent and child's to the edge node. child must be a splay
-// root with no path-parent, no left child and no pending flip (the root of
-// its represented tree); Hang panics otherwise. parent must not be in
-// child's tree, which Hang does not check.
+// Link(child, parent, w) would, by setting two path-parent pointers. It
+// panics unless child is an untouched tree root; parent must not be in
+// child's tree (unchecked).
 func (f *Forest) Hang(child, parent int, w int64) *Edge {
 	c := &f.vs[child]
 	if c.p != nil || c.l != nil || c.flip {
