@@ -9,7 +9,7 @@
 //	msfbench -full                          # paper-scale sizes (slower)
 //	msfbench -repeat 7                      # 7 runs per timed section (min + median)
 //	msfbench -exp none -batchjson FILE      # machine-readable batch report only
-//	msfbench -exp E14,E15 -batchjson FILE   # sparsify batch tables + refreshed report
+//	msfbench -exp E14 -batchjson FILE       # sparsify batch table + refreshed report
 //	msfbench -exp E16                       # concurrent serving plane (readers vs ingest writers)
 //	msfbench -exp E17                       # bulk constructor vs incremental cold-start load
 //	msfbench -exp E18                       # incremental snapshot publication (delta vs sweep)

@@ -18,7 +18,7 @@ import (
 	"parmsf/internal/xrand"
 )
 
-// The batch measurements are shared by three consumers — the E12-E15 tables
+// The batch measurements are shared by two consumers — the E12-E14 tables
 // and the machine-readable BENCH_batch.json report — through the helpers
 // below, so the human-readable and committed records can never measure
 // different protocols.
@@ -54,7 +54,7 @@ type batchSizes struct {
 	sortItems  int // items in the E12 sort-kernel measurement
 	insertN    int // vertices of the end-to-end InsertEdges measurement
 	nontreeN   int // vertices of the E13 non-tree pipeline scenario
-	sparsifyN  int // vertices of the E14/E15 sparsified m=16n scenario
+	sparsifyN  int // vertices of the E14 sparsified m=16n scenario
 	readwriteN int // vertices of the E16 mixed reader/writer scenario
 	clusterN   int // vertices of the E20 sharded cluster scenario
 	name       string
@@ -135,7 +135,7 @@ func timeNontree(n, workers int) sample {
 	})
 }
 
-// mkSparsifyScenario builds the deterministic E14/E15 scenario: an m = 16n
+// mkSparsifyScenario builds the deterministic E14 scenario: an m = 16n
 // dense edge set with distinct weights, plus a mixed update batch of 4n
 // deletions — alternating tree and non-tree edges, as classified on the
 // loaded state — whose reinsertion (same pairs, same weights) restores the
@@ -240,54 +240,6 @@ func timeSparsify(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey, ins
 	})
 }
 
-// timeSparsifySched measures one delete-batch/reinsert-batch round of the
-// E14 mixed update set directly on a sparsification tree under the chosen
-// batch scheduler — the strict level-barrier sweep or the dependency-driven
-// pipeline — with node tasks on a worker pool of the given size (min/median
-// over Repeat, nanoseconds per edge update). Bypassing the public wrapper
-// isolates the scheduler: both modes share identical node engines,
-// identical coalescing and identical batches, so the difference is purely
-// barrier stalls plus dispatch overhead.
-func timeSparsifySched(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey, ins []parmsf.Edge, pipelined bool) sample {
-	mach := pram.NewParallel(workers)
-	defer mach.Close()
-	f, closeTasks := newBatchSparsifyTree(n, mach, pipelined)
-	defer closeTasks()
-	bedges := make([]batch.Edge, len(edges))
-	for i, e := range edges {
-		bedges[i] = batch.Edge{U: e.U, V: e.V, W: e.W}
-	}
-	bdel := make([][2]int, len(del))
-	for i, k := range del {
-		bdel[i] = [2]int{k.U, k.V}
-	}
-	bins := make([]batch.Edge, len(ins))
-	for i, e := range ins {
-		bins[i] = batch.Edge{U: e.U, V: e.V, W: e.W}
-	}
-	if errs := f.InsertEdges(bedges); errs != nil {
-		for _, err := range errs {
-			if err != nil {
-				panic(fmt.Sprintf("experiments: E15 load failed: %v", err))
-			}
-		}
-	}
-	return measure(func() float64 {
-		t0 := time.Now()
-		for _, err := range f.DeleteEdges(bdel) {
-			if err != nil {
-				panic(fmt.Sprintf("experiments: E15 delete failed: %v", err))
-			}
-		}
-		for _, err := range f.InsertEdges(bins) {
-			if err != nil {
-				panic(fmt.Sprintf("experiments: E15 insert failed: %v", err))
-			}
-		}
-		return float64(time.Since(t0).Nanoseconds()) / float64(len(bdel)+len(bins))
-	})
-}
-
 // E14SparsifyBatch — batch-aware sparsification: wall time of mixed update
 // batches on an m = 16n graph through the Section 5 tree, per-edge versus
 // batched, across worker counts. The batched path groups pending updates
@@ -316,31 +268,6 @@ func E14SparsifyBatch(w io.Writer, sc Scale) {
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w, "theory: batched wins at every worker count (shared per-node flushes); the gap widens with workers (concurrent independent nodes)")
-	fmt.Fprintln(w)
-}
-
-// E15SparsifyPipeline — pipelined sparsification scheduler: wall time of
-// the same mixed update batches through the Section 5 tree under the strict
-// level-barrier sweep versus the dependency-driven pipeline, across worker
-// counts. The barrier holds every level for its slowest sibling; the
-// pipeline lets a parent apply as soon as its own children drained into it,
-// overlapping a fast level's tail with the next level's head. Identical
-// node engines and batches — the measured difference is scheduler-only.
-func E15SparsifyPipeline(w io.Writer, sc Scale) {
-	sz := batchSizesFor(sc)
-	n := sz.sparsifyN
-	tb := stats.NewTable(
-		fmt.Sprintf("E15 — sparsify schedulers: mixed %d-edge update batches, m=16n, n=%d (GOMAXPROCS=%d, repeat=%d)",
-			8*n, n, runtime.GOMAXPROCS(0), Repeat),
-		"workers", "barrier ns/edge", "(med)", "pipelined ns/edge", "(med)", "pipeline speedup")
-	edges, del, ins := mkSparsifyScenario(n)
-	for _, workers := range []int{1, 2, 4, 8} {
-		ba := timeSparsifySched(n, workers, edges, del, ins, false)
-		pi := timeSparsifySched(n, workers, edges, del, ins, true)
-		tb.Row(workers, ba.Min, ba.Med, pi.Min, pi.Med, ba.Min/pi.Min)
-	}
-	tb.Fprint(w)
-	fmt.Fprintln(w, "theory: >= 1.0 with real cores (the pipeline removes barrier stalls; the gap widens with workers and sibling imbalance); ~1.0 within noise on single-core hosts, where there is nothing to overlap")
 	fmt.Fprintln(w)
 }
 
@@ -429,26 +356,11 @@ type SparsifyPoint struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-// PipelinePoint is one worker-count measurement of the E15 scheduler
-// comparison: nanoseconds per edge update through the level-barrier sweep
-// and through the dependency-driven pipeline (minima across -repeat runs),
-// and the pipeline's speedup over the barrier at the same worker count.
-type PipelinePoint struct {
-	Workers      int     `json:"workers"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Barrier      float64 `json:"barrier_ns_per_edge"`
-	BarrierMed   float64 `json:"barrier_median"`
-	Pipelined    float64 `json:"pipelined_ns_per_edge"`
-	PipelinedMed float64 `json:"pipelined_median"`
-	Speedup      float64 `json:"speedup"`
-}
-
-// BatchReport is the machine-readable record of the E12-E17 batch
+// BatchReport is the machine-readable record of the E12-E20 batch
 // measurements (BENCH_batch.json): per-worker wall times and speedups of
 // the sort kernel, the end-to-end public batch insert, the core pipeline
 // on independent non-tree updates, the sparsified mixed-update scenario
-// (per-edge vs batched through the Section 5 tree), the scheduler
-// comparison (level barrier vs dependency pipeline), the concurrent
+// (per-edge vs batched through the Section 5 tree), the concurrent
 // serving plane (snapshot readers vs ingest writers, per-op and batched
 // submission), the bulk-constructor cold-start comparison, the
 // incremental snapshot publication scenario (delta path vs full sweep
@@ -471,7 +383,6 @@ type BatchReport struct {
 	Insert     []BatchPoint     `json:"insert_ns_per_edge"`
 	Nontree    []BatchPoint     `json:"nontree_ns_per_edge"`
 	Sparsify   []SparsifyPoint  `json:"sparsify_batch"`
-	Pipeline   []PipelinePoint  `json:"sparsify_pipeline"`
 	ReadWrite  []ReadWritePoint `json:"read_write"`
 	Bulk       []BulkPoint      `json:"bulk_build"`
 	Publish    []PublishPoint   `json:"publish_delta"`
@@ -479,7 +390,7 @@ type BatchReport struct {
 	Cluster    []ClusterPoint   `json:"cluster"`
 }
 
-// BuildBatchReport runs the E12-E17 measurements and assembles the report.
+// BuildBatchReport runs the E12-E20 measurements and assembles the report.
 func BuildBatchReport(sc Scale) BatchReport {
 	sz := batchSizesFor(sc)
 	gmp := runtime.GOMAXPROCS(0)
@@ -507,8 +418,6 @@ func BuildBatchReport(sc Scale) BatchReport {
 		nt := timeNontree(sz.nontreeN, workers)
 		pe := timeSparsify(sz.sparsifyN, workers, sedges, sdel, sins, false)
 		ba := timeSparsify(sz.sparsifyN, workers, sedges, sdel, sins, true)
-		sb := timeSparsifySched(sz.sparsifyN, workers, sedges, sdel, sins, false)
-		sp := timeSparsifySched(sz.sparsifyN, workers, sedges, sdel, sins, true)
 		if workers == 1 {
 			s1, i1, n1 = st.Min, it.Min, nt.Min
 		}
@@ -516,7 +425,6 @@ func BuildBatchReport(sc Scale) BatchReport {
 		rep.Insert = append(rep.Insert, BatchPoint{workers, gmp, it.Min, it.Med, i1 / it.Min})
 		rep.Nontree = append(rep.Nontree, BatchPoint{workers, gmp, nt.Min, nt.Med, n1 / nt.Min})
 		rep.Sparsify = append(rep.Sparsify, SparsifyPoint{workers, gmp, pe.Min, pe.Med, ba.Min, ba.Med, pe.Min / ba.Min})
-		rep.Pipeline = append(rep.Pipeline, PipelinePoint{workers, gmp, sb.Min, sb.Med, sp.Min, sp.Med, sb.Min / sp.Min})
 	}
 	rep.ReadWrite = buildReadWritePoints(sc)
 	rep.Bulk = buildBulkPoints(sc)

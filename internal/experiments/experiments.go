@@ -74,7 +74,6 @@ var Registry = map[string]func(w io.Writer, sc Scale){
 	"E12": E12BatchExecutor,
 	"E13": E13BatchPipeline,
 	"E14": E14SparsifyBatch,
-	"E15": E15SparsifyPipeline,
 	"E16": E16ReadWrite,
 	"E17": E17BulkBuild,
 	"E18": E18PublishDelta,
@@ -83,7 +82,7 @@ var Registry = map[string]func(w io.Writer, sc Scale){
 }
 
 // Order is the canonical execution order.
-var Order = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20"}
+var Order = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16", "E17", "E18", "E19", "E20"}
 
 // sqrtNLogN is the Theorem 1.2 bound shape.
 func sqrtNLogN(n int) float64 {

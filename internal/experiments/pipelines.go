@@ -52,27 +52,3 @@ func newParSparsifyEngine(n int) *sparsify.Forest {
 	}
 	return f
 }
-
-// newBatchSparsifyTree builds the Section 5.3 batch pipeline the E15
-// scheduler comparison measures: core-backed ternary nodes on private
-// simulators, with node applications fanned out over mach's workers —
-// through the dependency pipeline when pipelined, else the level-barrier
-// sweep. Mirrors the parmsf.Options{Sparsify, Workers} wiring minus the
-// cost-counter plumbing, which both modes would pay identically. The
-// returned closer releases the pipeline's task workers.
-func newBatchSparsifyTree(n int, mach *pram.Machine, pipelined bool) (*sparsify.Forest, func()) {
-	f := sparsify.New(n, func(localN, maxEdges int) sparsify.Engine {
-		nm := pram.New(false)
-		return ternary.New(localN, maxEdges, func(gn int) ternary.Engine {
-			return core.NewMSF(gn, core.Config{}, core.PRAMCharger{M: nm})
-		})
-	})
-	if pipelined {
-		f.Pipeline = true
-		tp := sparsify.NewTaskPool(mach.Workers())
-		f.Spawn = tp.Spawn
-		return f, tp.Close
-	}
-	f.Exec = func(tasks int, run func(t int)) { mach.Run(tasks, run) }
-	return f, func() {}
-}

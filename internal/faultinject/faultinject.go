@@ -108,8 +108,8 @@ func (in *Injector) Arm(point string, after int) error {
 }
 
 // ArmSpec arms a comma-separated list of "point" or "point:N" specs (N = the
-// hit number that fires, default 1). The format of the PARMSF_FAULT
-// environment variable and Options.FaultPoints entries.
+// hit number that fires, default 1): the format of Options.FaultPoints
+// entries.
 func (in *Injector) ArmSpec(spec string) error {
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)

@@ -15,17 +15,17 @@ var (
 )
 
 // This file implements the batch path of the sparsification tree: a whole
-// batch of updates enters at its leaf nodes and propagates strictly
-// level-by-level. At each level the pending updates and the accumulated
-// forest deltas of the level below (the paper's REdges bookkeeping) are
-// grouped by node and coalesced per edge, then every touched sibling node
-// of the level applies its delta concurrently — the siblings own disjoint
-// local engines, so the only synchronization is the level barrier — and
-// each node's emitted events are collected into its parent's pending group
-// before the sweep advances. Nodes whose local graph empties are destroyed
-// only after their events have been drained into the parent (teardown
-// ordering), and per-batch cost is accounted as per-level max depth over
-// the concurrent siblings plus the O(log n) coordination of Section 5.3.
+// batch of updates enters at its leaf nodes and propagates to the root
+// through the dependency scheduler of pipeline.go. A node's pending updates
+// and the forest deltas drained from its children (the paper's REdges
+// bookkeeping) are grouped and coalesced per edge, and the node applies its
+// net delta once, through its engine's batch entry points, as soon as all
+// of its children have drained into it. Touched nodes own disjoint local
+// engines, so runnable nodes apply concurrently when the tree has a task
+// spawner. Nodes whose local graph empties are destroyed only after their
+// events have been drained into the parent (teardown ordering), and
+// per-batch cost is accounted as the max depth over the touched nodes plus
+// the O(log n) coordination of Section 5.3.
 
 // BatchEngine is the batch view of a node engine: whole-delta insertion and
 // deletion entry points with one error slot per edge. The ternary wrapper
@@ -74,7 +74,7 @@ type keyState struct {
 	w           int64
 }
 
-// group is the coalesced pending delta of one node at the current level.
+// group is the coalesced pending delta of one node.
 type group struct {
 	keys  [][2]int // first-touch order (deterministic)
 	state map[[2]int]*keyState
@@ -111,7 +111,7 @@ func (g *group) net() (dels [][2]int, inss []batch.Edge) {
 	return dels, inss
 }
 
-// frontier is the set of touched nodes at one level, keyed by node.
+// frontier is the set of touched leaves of a batch, keyed by node.
 type frontier map[nodeKey]*group
 
 func (fr frontier) group(k nodeKey) *group {
@@ -133,7 +133,7 @@ func parentKey(k nodeKey) nodeKey {
 // InsertEdges inserts a batch of edges, returning one error slot per item
 // (nil on success; ErrBadEdge and ErrExists mirror InsertEdge, with a
 // repeated in-batch edge failing from its second occurrence on). The
-// surviving edges seed the leaf frontier and propagate level-by-level. With
+// surviving edges seed the leaf frontier and propagate to the root. With
 // distinct weights the resulting forest is identical to per-edge insertion
 // in any order (each node's MSF is unique given its local edge set).
 func (f *Forest) InsertEdges(items []batch.Edge) []error {
@@ -165,8 +165,8 @@ func (f *Forest) InsertEdges(items []batch.Edge) []error {
 // DeleteEdges deletes a batch of edges named by endpoint pairs, returning
 // one error slot per item (nil on success, ErrMissing for absent edges and
 // for repeated keys after their first occurrence). Replacement promotions
-// discovered at any level ride the same level-by-level sweep as the
-// deletions that caused them.
+// discovered at any level ride the same propagation as the deletions that
+// caused them.
 func (f *Forest) DeleteEdges(keys [][2]int) []error {
 	errs := make([]error, len(keys))
 	fr := make(frontier)
@@ -188,115 +188,6 @@ func (f *Forest) DeleteEdges(keys [][2]int) []error {
 	return errs
 }
 
-// runBatch drives one staged batch from the leaves to the root: through
-// the dependency-driven pipeline scheduler when Pipeline is set, else the
-// strict level-by-level sweep below. Depth is accounted as the max over
-// levels of each level's max over its concurrent siblings (equivalently,
-// under either scheduler: the max over all touched nodes); work as the sum
-// over every touched node; both plus the O(log n) coordination of Section
-// 5.3.
-func (f *Forest) runBatch(fr frontier) {
-	f.Fault.Hit(fpRunBatch)
-	if f.Pipeline {
-		f.runBatchPipelined(fr)
-		return
-	}
-	var depth, work int64
-	for level := f.levels; level >= 0 && len(fr) > 0; level-- {
-		next, d, w := f.runLevel(level, fr)
-		fr = next
-		if d > depth {
-			depth = d
-		}
-		work += w
-	}
-	f.ParDepth += depth + 2*int64(f.levels+1)
-	f.ParWork += work + 2*int64(f.levels+1)
-}
-
-// runLevel applies one level of the sweep: materialize the touched nodes in
-// deterministic key order, apply their coalesced deltas concurrently on the
-// executor, then — back on the host — drain each node's emitted events into
-// its parent's group and destroy emptied nodes (drain strictly before
-// destruction, so no delta is ever lost with its node).
-func (f *Forest) runLevel(level int, fr frontier) (next frontier, depth, work int64) {
-	keys := make([]nodeKey, 0, len(fr))
-	for k := range fr {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-
-	type task struct {
-		nd   *node
-		dels [][2]int
-		inss []batch.Edge
-	}
-	tasks := make([]task, 0, len(keys))
-	for _, k := range keys {
-		dels, inss := fr[k].net()
-		if len(dels) == 0 && len(inss) == 0 {
-			continue // fully cancelled: don't materialize the node
-		}
-		tasks = append(tasks, task{f.getOrCreateKey(k), dels, inss})
-	}
-	if len(tasks) == 0 {
-		return nil, 0, 0
-	}
-
-	before := make([]int64, len(tasks))
-	beforeW := make([]int64, len(tasks))
-	for t := range tasks {
-		if f.DepthFn != nil {
-			before[t] = f.DepthFn(tasks[t].nd.eng)
-		}
-		if f.WorkFn != nil {
-			beforeW[t] = f.WorkFn(tasks[t].nd.eng)
-		}
-		if tasks[t].nd.native {
-			f.BatchNodeOps++
-		} else {
-			f.PerEdgeNodeOps++
-		}
-	}
-
-	exec := f.Exec
-	if exec == nil {
-		exec = func(n int, run func(t int)) {
-			for t := 0; t < n; t++ {
-				run(t)
-			}
-		}
-	}
-	exec(len(tasks), func(t int) { f.applyNodeDelta(tasks[t].nd, tasks[t].dels, tasks[t].inss) })
-
-	next = make(frontier)
-	for t := range tasks {
-		nd := tasks[t].nd
-		if f.DepthFn != nil {
-			if d := f.DepthFn(nd.eng) - before[t]; d > depth {
-				depth = d
-			}
-		}
-		if f.WorkFn != nil {
-			work += f.WorkFn(nd.eng) - beforeW[t]
-		}
-		evs := nd.drain()
-		if level > 0 {
-			pg := next.group(parentKey(nd.key))
-			for _, ev := range evs {
-				pg.add(ev.u, ev.v, ev.w, ev.added)
-			}
-		}
-		f.gc(nd)
-	}
-	return next, depth, work
-}
-
 // BulkEngine is the optional static bulk-load view of a node engine (the
 // ternary wrapper over core.MSF): a whole initial edge set with per-edge
 // MSF-membership flags, loaded in one engine batch with no incremental
@@ -307,7 +198,8 @@ type BulkEngine interface {
 
 // applyNodeDelta applies one node's net delta — deletions first, then
 // insertions, both in first-touch order — through the node's batch engine.
-// It runs concurrently with its level siblings and touches only nd's state.
+// It may run concurrently with other runnable nodes and touches only nd's
+// state.
 // An insert-only delta into an empty node (every node of a fresh tree
 // during a bulk build, and any node recreated after its local graph
 // emptied) routes through the engine's static bulk loader when it has one:

@@ -139,75 +139,82 @@ func TestBatchMatchesPerEdge(t *testing.T) {
 }
 
 // TestBatchTeardownOrdering is the regression test for node teardown under
-// batches: one delete batch empties an entire subtree — every emptied node
-// must flush its forest-delta events to its parent before it is destroyed,
-// or the upper levels keep phantom edges — and a follow-up insert batch
-// repopulates the same subtree through freshly recreated nodes.
+// batches, with the scheduler run inline and on a task pool: one delete
+// batch empties an entire subtree — every emptied node must flush its
+// forest-delta events to its parent before it is destroyed, in dependency
+// order, or the upper levels keep phantom edges — and a follow-up insert
+// batch repopulates the same subtree through freshly recreated nodes.
 func TestBatchTeardownOrdering(t *testing.T) {
-	const n = 16
-	f := New(n, coreFactory)
-	ref := baseline.NewKruskal(n)
-	// A clique on vertices 0..3 (one subtree of the leaf level) plus a few
-	// spanning edges elsewhere.
-	var sub [][2]int
-	w := int64(1)
-	for u := 0; u < 4; u++ {
-		for v := u + 1; v < 4; v++ {
-			sub = append(sub, [2]int{u, v})
-			mustNil(t, f.InsertEdge(u, v, w))
-			ref.InsertEdge(u, v, w)
-			w++
+	for _, workers := range []int{0, 3} {
+		name := "inline"
+		if workers > 0 {
+			name = "pooled"
 		}
-	}
-	for _, e := range [][2]int{{4, 8}, {8, 12}, {12, 15}, {0, 8}} {
-		mustNil(t, f.InsertEdge(e[0], e[1], w))
-		ref.InsertEdge(e[0], e[1], w)
-		w++
-	}
-	nodesBefore := f.NodeCount()
-
-	// Empty the whole 0..3 subtree in ONE batch.
-	if errs := f.DeleteEdges(sub); errs != nil {
-		for i, e := range errs {
-			if e != nil {
-				t.Fatalf("delete errs[%d] = %v", i, e)
+		t.Run(name, func(t *testing.T) {
+			const n = 16
+			f := New(n, coreFactory)
+			if workers > 0 {
+				tp := NewTaskPool(workers)
+				defer tp.Close()
+				f.Spawn = tp.Spawn
 			}
-		}
-	}
-	for _, k := range sub {
-		ref.DeleteEdge(k[0], k[1])
-	}
-	if f.Weight() != ref.Weight() || f.ForestSize() != ref.ForestSize() {
-		t.Fatalf("after subtree teardown: (w=%d,s=%d) vs ref (w=%d,s=%d)",
-			f.Weight(), f.ForestSize(), ref.Weight(), ref.ForestSize())
-	}
-	if err := f.CheckInvariant(); err != nil {
-		t.Fatalf("invariant after teardown: %v", err)
-	}
-	if f.NodeCount() >= nodesBefore {
-		t.Fatalf("no nodes were destroyed: %d -> %d", nodesBefore, f.NodeCount())
-	}
-
-	// Repopulate the subtree in one batch through recreated nodes.
-	var ins []batch.Edge
-	for _, k := range sub {
-		ins = append(ins, batch.Edge{U: k[0], V: k[1], W: w})
-		ref.InsertEdge(k[0], k[1], w)
-		w++
-	}
-	if errs := f.InsertEdges(ins); errs != nil {
-		for i, e := range errs {
-			if e != nil {
-				t.Fatalf("reinsert errs[%d] = %v", i, e)
+			ref := baseline.NewKruskal(n)
+			// A clique on vertices 0..3 (one subtree of the leaf level)
+			// plus a few spanning edges elsewhere.
+			var sub [][2]int
+			w := int64(1)
+			for u := 0; u < 4; u++ {
+				for v := u + 1; v < 4; v++ {
+					sub = append(sub, [2]int{u, v})
+					mustNil(t, f.InsertEdge(u, v, w))
+					ref.InsertEdge(u, v, w)
+					w++
+				}
 			}
-		}
-	}
-	if f.Weight() != ref.Weight() || f.ForestSize() != ref.ForestSize() {
-		t.Fatalf("after repopulation: (w=%d,s=%d) vs ref (w=%d,s=%d)",
-			f.Weight(), f.ForestSize(), ref.Weight(), ref.ForestSize())
-	}
-	if err := f.CheckInvariant(); err != nil {
-		t.Fatalf("invariant after repopulation: %v", err)
+			for _, e := range [][2]int{{4, 8}, {8, 12}, {12, 15}, {0, 8}} {
+				mustNil(t, f.InsertEdge(e[0], e[1], w))
+				ref.InsertEdge(e[0], e[1], w)
+				w++
+			}
+			nodesBefore := f.NodeCount()
+
+			// Empty the whole 0..3 subtree in ONE batch.
+			for i, e := range f.DeleteEdges(sub) {
+				if e != nil {
+					t.Fatalf("delete errs[%d] = %v", i, e)
+				}
+			}
+			for _, k := range sub {
+				ref.DeleteEdge(k[0], k[1])
+			}
+			sameForests(t, "after subtree teardown", f, ref)
+			if f.ForestSize() != 4 {
+				t.Fatalf("forest size after teardown = %d, want 4", f.ForestSize())
+			}
+			if err := f.CheckInvariant(); err != nil {
+				t.Fatalf("invariant after teardown: %v", err)
+			}
+			if f.NodeCount() >= nodesBefore {
+				t.Fatalf("no nodes were destroyed: %d -> %d", nodesBefore, f.NodeCount())
+			}
+
+			// Repopulate the subtree in one batch through recreated nodes.
+			var ins []batch.Edge
+			for _, k := range sub {
+				ins = append(ins, batch.Edge{U: k[0], V: k[1], W: w})
+				ref.InsertEdge(k[0], k[1], w)
+				w++
+			}
+			for i, e := range f.InsertEdges(ins) {
+				if e != nil {
+					t.Fatalf("reinsert errs[%d] = %v", i, e)
+				}
+			}
+			sameForests(t, "after repopulation", f, ref)
+			if err := f.CheckInvariant(); err != nil {
+				t.Fatalf("invariant after repopulation: %v", err)
+			}
+		})
 	}
 }
 

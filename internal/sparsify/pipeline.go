@@ -8,15 +8,14 @@ import (
 	"parmsf/internal/batch"
 )
 
-// This file implements the pipelined batch scheduler of the sparsification
-// tree: instead of sweeping the tree strictly level-by-level with a global
-// barrier per level (batch.go), a tree node becomes runnable as soon as all
-// of its own children have drained their REdges deltas and pending events
-// into it. Readiness is a per-node counter over the dependency closure (the
-// ancestors of the batch's touched leaves), so a fast subtree's parent can
-// apply while a slow sibling subtree is still working a lower level — the
-// overlap Section 5.3's depth accounting permits, since only the
-// child-before-parent order is semantically required.
+// This file implements the batch scheduler of the sparsification tree. A
+// tree node becomes runnable as soon as all of its own children have
+// drained their REdges deltas and pending events into it. Readiness is a
+// per-node counter over the dependency closure (the ancestors of the
+// batch's touched leaves), so a fast subtree's parent can apply while a
+// slow sibling subtree is still working a lower level — the overlap
+// Section 5.3's depth accounting permits, since only the child-before-parent
+// order is semantically required.
 //
 // Completion bookkeeping is sharded off the scheduler goroutine: the
 // goroutine that applies a node also drains that node's forest-delta
@@ -34,12 +33,11 @@ import (
 //   - A node's input delta is assembled by merging its children's drained
 //     events in fixed sibling order (childKeys order, which is sorted), so
 //     the coalesced group — and therefore the node's engine op order — is
-//     exactly what the level-barrier sweep produces.
+//     the same for every worker count and every completion order.
 //   - Per-node depth/work deltas come from the node's private engine
 //     simulator, which only the node's own task touches; the batch
 //     aggregate merges them commutatively (max for depth, sum for work),
-//     so ParDepth/ParWork are identical to the barrier path for every
-//     worker count and every completion order.
+//     so ParDepth/ParWork are identical inline and on any task pool.
 
 // trappedPanic boxes the first panic value a node task recovered, for the
 // batch's caller to re-throw once the schedule has drained.
@@ -59,11 +57,14 @@ type pnode struct {
 	finished bool         // set (pre-notification) once the node completed
 }
 
-// runBatchPipelined drives one batch through the dependency-driven
-// scheduler. Node applications run through f.Spawn when set (concurrently,
-// bounded by the spawner); with Spawn nil every task runs inline, which
-// executes the identical schedule sequentially.
-func (f *Forest) runBatchPipelined(fr frontier) {
+// runBatch drives one staged batch from its touched leaves to the root.
+// Node applications run through f.Spawn when set (concurrently, bounded by
+// the spawner); with Spawn nil every task runs inline, which executes the
+// identical schedule sequentially. Depth is accounted as the max over every
+// touched node, work as the sum, both plus the O(log n) coordination of
+// Section 5.3.
+func (f *Forest) runBatch(fr frontier) {
+	f.Fault.Hit(fpRunBatch)
 	// Build the closure: every touched leaf and all of its ancestors. The
 	// recursion always reaches level 0, so the closure has exactly one
 	// root (parent == nil).
@@ -96,8 +97,7 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 		}
 	}
 
-	// Seed the ready queue with the leaves in sorted key order (the same
-	// deterministic order the barrier sweep uses within a level).
+	// Seed the ready queue with the leaves in sorted key order.
 	ready := make([]*pnode, 0, len(fr))
 	for _, p := range all {
 		if p.waiting.Load() == 0 {
@@ -318,7 +318,7 @@ func (tp *TaskPool) loop() {
 }
 
 // exec runs one task, keeping the run loop alive if the task panics past
-// its own containment (tasks from the pipeline scheduler trap their panics
+// its own containment (tasks from the batch scheduler trap their panics
 // at the task boundary; this recover is the pool's own backstop — a dead
 // run loop would strand queued tasks and hang the batch that spawned them).
 func (tp *TaskPool) exec(run func()) {
@@ -332,8 +332,8 @@ func (tp *TaskPool) Spawn(run func()) { tp.ch <- run }
 // Close releases the run loops after queued tasks drain. Idempotent.
 func (tp *TaskPool) Close() { tp.once.Do(func() { close(tp.ch) }) }
 
-// sortNodeKeysOf sorts pnodes by (a, b); used only within one level, where
-// that order matches the barrier sweep's sorted task order.
+// sortNodeKeysOf sorts pnodes by (a, b); used only on the leaves, which
+// share one level.
 func sortNodeKeysOf(ps []*pnode) {
 	sort.Slice(ps, func(i, j int) bool {
 		if ps[i].key.a != ps[j].key.a {

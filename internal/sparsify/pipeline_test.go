@@ -1,8 +1,10 @@
 package sparsify
 
 import (
+	"fmt"
 	"testing"
 
+	"parmsf/internal/baseline"
 	"parmsf/internal/batch"
 	"parmsf/internal/core"
 	"parmsf/internal/pram"
@@ -47,53 +49,44 @@ func withCounters(f *Forest) *Forest {
 	return f
 }
 
-// TestPipelineMatchesBarrier drives identical random mixed batch streams
-// through the level-barrier scheduler, the pipeline scheduler executed
-// inline, and the pipeline scheduler on a 3-worker task pool, requiring
-// identical forests, identical node-op counters and — because per-node
-// engines are private and the batch aggregate merges them commutatively —
-// bit-identical ParDepth/ParWork after every batch, regardless of task
-// completion order. Run with -race to certify the concurrent node
+// TestPipelineParity drives identical random insert/delete batch streams
+// through the batch scheduler executed inline and on a 3-worker task pool,
+// checking both after every batch against per-edge replay on a twin tree
+// and against the Kruskal baseline: identical forests everywhere, plus
+// identical node-op counters, node counts and — because per-node engines
+// are private and the batch aggregate merges them commutatively —
+// bit-identical ParDepth/ParWork between inline and pooled, regardless of
+// task completion order. Run with -race to certify the concurrent node
 // applications share no state.
-func TestPipelineMatchesBarrier(t *testing.T) {
+func TestPipelineParity(t *testing.T) {
 	const n = 32
-	barrier := withCounters(New(n, pramFactory))
 	inline := withCounters(New(n, pramFactory))
-	inline.Pipeline = true
 	pooled := withCounters(New(n, pramFactory))
-	pooled.Pipeline = true
 	tp := NewTaskPool(3)
 	defer tp.Close()
 	pooled.Spawn = tp.Spawn
-	forests := []*Forest{barrier, inline, pooled}
+	twin := New(n, pramFactory)
+	ref := baseline.NewKruskal(n)
 
 	check := func(stage string) {
 		t.Helper()
-		for i, f := range forests[1:] {
-			if f.Weight() != barrier.Weight() || f.ForestSize() != barrier.ForestSize() {
-				t.Fatalf("%s: forest diverges on scheduler %d: (w=%d,s=%d) vs barrier (w=%d,s=%d)",
-					stage, i+1, f.Weight(), f.ForestSize(), barrier.Weight(), barrier.ForestSize())
+		for _, f := range []*Forest{inline, pooled} {
+			sameForests(t, stage+" (batch vs per-edge replay)", f, twin)
+			sameForests(t, stage+" (batch vs kruskal)", f, ref)
+			if err := f.CheckInvariant(); err != nil {
+				t.Fatalf("%s: %v", stage, err)
 			}
-			sa, sb := snapshot(barrier), snapshot(f)
-			for e := range sa {
-				if !sb[e] {
-					t.Fatalf("%s: edge %v only in barrier forest", stage, e)
-				}
-			}
-			if len(sa) != len(sb) {
-				t.Fatalf("%s: %d vs %d forest edges", stage, len(sa), len(sb))
-			}
-			if f.ParDepth != barrier.ParDepth || f.ParWork != barrier.ParWork {
-				t.Fatalf("%s: counters diverge on scheduler %d: {D=%d W=%d} vs barrier {D=%d W=%d}",
-					stage, i+1, f.ParDepth, f.ParWork, barrier.ParDepth, barrier.ParWork)
-			}
-			if f.BatchNodeOps != barrier.BatchNodeOps || f.PerEdgeNodeOps != barrier.PerEdgeNodeOps {
-				t.Fatalf("%s: node-op counters diverge on scheduler %d: {%d %d} vs {%d %d}",
-					stage, i+1, f.BatchNodeOps, f.PerEdgeNodeOps, barrier.BatchNodeOps, barrier.PerEdgeNodeOps)
-			}
-			if f.NodeCount() != barrier.NodeCount() {
-				t.Fatalf("%s: node counts diverge: %d vs %d", stage, f.NodeCount(), barrier.NodeCount())
-			}
+		}
+		if pooled.ParDepth != inline.ParDepth || pooled.ParWork != inline.ParWork {
+			t.Fatalf("%s: counters diverge: pooled {D=%d W=%d} vs inline {D=%d W=%d}",
+				stage, pooled.ParDepth, pooled.ParWork, inline.ParDepth, inline.ParWork)
+		}
+		if pooled.BatchNodeOps != inline.BatchNodeOps || pooled.PerEdgeNodeOps != inline.PerEdgeNodeOps {
+			t.Fatalf("%s: node-op counters diverge: pooled {%d %d} vs inline {%d %d}",
+				stage, pooled.BatchNodeOps, pooled.PerEdgeNodeOps, inline.BatchNodeOps, inline.PerEdgeNodeOps)
+		}
+		if pooled.NodeCount() != inline.NodeCount() {
+			t.Fatalf("%s: node counts diverge: pooled %d vs inline %d", stage, pooled.NodeCount(), inline.NodeCount())
 		}
 	}
 
@@ -117,24 +110,21 @@ func TestPipelineMatchesBarrier(t *testing.T) {
 			ins = append(ins, batch.Edge{U: u, V: v, W: nextW})
 			nextW++
 		}
-		for fi, f := range forests {
+		for _, f := range []*Forest{inline, pooled} {
 			for i, err := range f.InsertEdges(ins) {
 				if err != nil {
-					t.Fatalf("round %d scheduler %d: ins errs[%d] = %v", round, fi, i, err)
+					t.Fatalf("round %d: ins errs[%d] = %v", round, i, err)
 				}
 			}
 		}
 		for _, it := range ins {
+			mustNil(t, twin.InsertEdge(it.U, it.V, it.W))
+			mustNil(t, ref.InsertEdge(it.U, it.V, it.W))
 			k := key(it.U, it.V)
 			live = append(live, k)
 			liveSet[k] = true
 		}
-		check("insert")
-		for _, f := range forests {
-			if err := f.CheckInvariant(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-		}
+		check(fmt.Sprintf("round %d insert", round))
 
 		var del [][2]int
 		for i := 0; i < 10 && len(live) > 0; i++ {
@@ -144,56 +134,20 @@ func TestPipelineMatchesBarrier(t *testing.T) {
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		for fi, f := range forests {
+		for _, f := range []*Forest{inline, pooled} {
 			for i, err := range f.DeleteEdges(del) {
 				if err != nil {
-					t.Fatalf("round %d scheduler %d: del errs[%d] (%v) = %v", round, fi, i, del[i], err)
+					t.Fatalf("round %d: del errs[%d] (%v) = %v", round, i, del[i], err)
 				}
 			}
 		}
-		check("delete")
+		for _, k := range del {
+			mustNil(t, twin.DeleteEdge(k[0], k[1]))
+			mustNil(t, ref.DeleteEdge(k[0], k[1]))
+		}
+		check(fmt.Sprintf("round %d delete", round))
 	}
-	if barrier.BatchNodeOps == 0 {
+	if inline.BatchNodeOps == 0 {
 		t.Fatal("stream never exercised a node batch")
-	}
-}
-
-// TestPipelineTeardownOrdering mirrors the barrier teardown regression for
-// the pipeline scheduler: a delete batch that empties a whole subtree must
-// drain every node's events into its parent strictly before destroying the
-// node, in dependency order rather than level order.
-func TestPipelineTeardownOrdering(t *testing.T) {
-	const n = 16
-	f := New(n, coreFactory)
-	f.Pipeline = true
-	var sub [][2]int
-	w := int64(1)
-	for u := 0; u < 4; u++ {
-		for v := u + 1; v < 4; v++ {
-			sub = append(sub, [2]int{u, v})
-			mustNil(t, f.InsertEdge(u, v, w))
-			w++
-		}
-	}
-	for _, e := range [][2]int{{4, 8}, {8, 12}, {12, 15}, {0, 8}} {
-		mustNil(t, f.InsertEdge(e[0], e[1], w))
-		w++
-	}
-	nodesBefore := f.NodeCount()
-	if errs := f.DeleteEdges(sub); errs != nil {
-		for i, e := range errs {
-			if e != nil {
-				t.Fatalf("delete errs[%d] = %v", i, e)
-			}
-		}
-	}
-	if err := f.CheckInvariant(); err != nil {
-		t.Fatalf("invariant after teardown: %v", err)
-	}
-	if f.NodeCount() >= nodesBefore {
-		t.Fatalf("no nodes were destroyed: %d -> %d", nodesBefore, f.NodeCount())
-	}
-	if f.ForestSize() != 4 {
-		t.Fatalf("forest size after teardown = %d, want 4", f.ForestSize())
 	}
 }

@@ -95,10 +95,8 @@ type Forest struct {
 	nodes   map[nodeKey]*node
 	edges   map[[2]int]int64
 	// DepthFn, when set, extracts an engine's accumulated parallel depth;
-	// per-update depth is then max over touched levels (on the batch path:
-	// max over the concurrently applied siblings of a level, then max over
-	// levels) plus the O(log n) coordination cost (Section 5.3),
-	// accumulated in ParDepth.
+	// per-update depth is then max over the touched nodes plus the
+	// O(log n) coordination cost (Section 5.3), accumulated in ParDepth.
 	DepthFn  func(Engine) int64
 	ParDepth int64
 	// WorkFn, when set, extracts an engine's accumulated parallel work;
@@ -106,23 +104,9 @@ type Forest struct {
 	// coordination cost, accumulated in ParWork.
 	WorkFn  func(Engine) int64
 	ParWork int64
-	// Exec, when set, executes tasks independent node applications of the
-	// batch path — the touched siblings of one level — possibly
-	// concurrently (the composer injects the shared worker pool here). Nil
-	// runs them inline. Tasks touch disjoint node state, so any executor
-	// that completes all tasks before returning preserves determinism.
-	// Exec is only consulted by the level-barrier sweep (Pipeline false).
-	Exec func(tasks int, run func(t int))
-	// Pipeline routes batches through the dependency-driven scheduler
-	// (pipeline.go) instead of the strict level-barrier sweep: a node
-	// applies as soon as its own children have drained into it, so levels
-	// overlap. Forests, error slots and ParDepth/ParWork are identical
-	// either way.
-	Pipeline bool
-	// Spawn, when set with Pipeline, runs one node application
-	// asynchronously (the composer injects a bounded-goroutine spawner
-	// here). finish-side bookkeeping stays on the scheduler goroutine. Nil
-	// executes the identical schedule inline.
+	// Spawn, when set, runs one node application of the batch scheduler
+	// (pipeline.go) asynchronously; the composer installs a TaskPool's
+	// Spawn here. Nil executes the identical schedule inline.
 	Spawn func(run func())
 	// BatchNodeOps and PerEdgeNodeOps count node applications of the batch
 	// path that went through a native BatchEngine versus the per-edge
@@ -137,16 +121,16 @@ type Forest struct {
 	// Fault, when set, arms the tree's crash points (fault-injection
 	// testing): sparsify/run-batch fires on the batch goroutine after the
 	// edge map committed but before any node applied; sparsify/node-task
-	// fires inside a node application — on a worker goroutine under the
-	// pipeline scheduler, where the trap/complete containment must carry
-	// the panic back to the caller without deadlocking the schedule.
+	// fires inside a node application — on a worker goroutine when Spawn
+	// is set, where the trap/complete containment must carry the panic
+	// back to the caller without deadlocking the schedule.
 	Fault *faultinject.Injector
 	// Applied counts the updates the tree has fully applied — one per
 	// single-edge operation, one per batch entry point that staged at
 	// least one edge. OnApplied, when set, fires at the same points,
-	// strictly past the batch's pipeline (or level-barrier) completion:
-	// every touched node has applied, every REdges delta has drained and
-	// every task goroutine has joined — the epoch source of the concurrent
+	// strictly past the batch scheduler's completion: every touched node
+	// has applied, every REdges delta has drained and every task
+	// goroutine has joined — the epoch source of the concurrent
 	// read plane, which publishes one immutable snapshot per applied
 	// update batch and must never observe the tree mid-propagation.
 	Applied   uint64
@@ -432,9 +416,9 @@ func installCutSides(e Engine, fn func(side []int32)) {
 // vertex v in [0, upto), per the current MSF: the root node's engine runs
 // its snapshot-export sweep (root-local ids are original ids). With no
 // root — the graph has never held an edge — every vertex is its own
-// component. Returns false when the root engine has no export hook; the
-// caller then derives components from the forest edge list instead. Must
-// not run concurrently with updates.
+// component. Returns false when the root engine has no export hook
+// (baseline node engines in tests). Must not run concurrently with
+// updates.
 func (f *Forest) ExportComponents(comp []int32, upto int) bool {
 	r := f.root()
 	if r == nil {

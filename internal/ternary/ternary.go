@@ -438,8 +438,7 @@ func (w *Wrapper) M() int { return len(w.edges) }
 // ring paths keep every extra slot in its vertex's component, so the
 // gadget partition restricted to the base slots is exactly the original
 // partition). Returns false when the wrapped engine has no export hook
-// (non-core gadgets); the caller then derives components from the forest
-// edge list instead.
+// (baseline gadgets in tests).
 func (w *Wrapper) ExportComponents(comp []int32, upto int) bool {
 	ex, ok := w.eng.(interface{ ExportComponents(comp []int32, upto int) })
 	if !ok {

@@ -49,10 +49,8 @@ package parmsf
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,8 +95,9 @@ type Options struct {
 	// Sparsify routes updates through the sparsification tree of Section
 	// 5, making update cost depend on n rather than m. Worthwhile when the
 	// graph is dense. Batch updates (InsertEdges/DeleteEdges) propagate
-	// through the tree level-by-level, applying all touched sibling nodes
-	// of a level concurrently on the worker pool when Workers is set.
+	// through the tree in dependency order: a touched node applies as soon
+	// as its children have drained into it, and runnable nodes apply
+	// concurrently on a task pool when Workers is set.
 	Sparsify bool
 	// Parallel runs the core structure's EREW PRAM driver (Section 3).
 	// Depth and work counters are exposed via PRAM().
@@ -145,9 +144,8 @@ type Options struct {
 	// (the incremental delta path rebases only when an era's ~n/8 patch
 	// budget runs out, or when an update's forest delta cannot be
 	// expressed incrementally). 1 disables the delta path entirely; 0
-	// selects the default, unless the PARMSF_SNAPSHOT_REBASE environment
-	// variable overrides it (tests and experiments exercising the
-	// rebase/patch boundary).
+	// selects the default. Tests and experiments set it to exercise the
+	// rebase/patch boundary.
 	SnapshotRebaseEvery int
 	// SubmitPolicy selects what Submit and SubmitBatch do when QueueDepth
 	// updates are already waiting: block for space (SubmitBlock, the
@@ -172,11 +170,8 @@ type Options struct {
 	// FaultPoints arms deterministic crash points for fault-injection
 	// testing: each entry is a "point" or "point:N" spec naming a
 	// registered injection site (see FaultPoints()) that will panic on its
-	// N-th upcoming hit. nil falls back to the PARMSF_FAULT environment
-	// variable (same comma-separated spec format); an empty non-nil slice
-	// explicitly disarms the forest regardless of environment. Production
-	// forests leave this nil with PARMSF_FAULT unset: every site then
-	// costs one atomic load.
+	// N-th upcoming hit. Nil or empty leaves the forest disarmed, as
+	// production forests are: every site then costs one atomic load.
 	FaultPoints []string
 }
 
@@ -219,7 +214,6 @@ type Forest struct {
 	dirty    bool // forest changed since the last published epoch
 	dc       deltaCollector
 	suppress bool // Recover's rebuild in progress: skip epoch publication
-	ufPar    []int32
 
 	// jour is the live-edge journal: the canonical (u<v) key and weight of
 	// every edge currently in the graph, maintained by the API layer and
@@ -251,11 +245,15 @@ type engine interface {
 	Weight() int64
 	ForestSize() int
 	ForestEdges(f func(u, v int, w int64) bool)
+	// ExportComponents fills a dense component-id array with one tour-root
+	// sweep through the core structure (the snapshot hook). It reports
+	// false only for non-core node engines, which New never builds.
+	ExportComponents(comp []int32, upto int) bool
 }
 
 // New creates an empty forest over n vertices (n >= 2). Returns
 // ErrTooFewVertices when n < 2, or an error naming a malformed
-// Options.FaultPoints (or PARMSF_FAULT) spec.
+// Options.FaultPoints spec.
 func New(n int, opt Options) (*Forest, error) {
 	if n < 2 {
 		return nil, ErrTooFewVertices
@@ -267,14 +265,8 @@ func New(n int, opt Options) (*Forest, error) {
 		opt.Parallel = true
 	}
 	f := &Forest{n: n, opt: opt, fault: faultinject.New(), jour: make(map[[2]int]int64)}
-	if specs := opt.FaultPoints; specs != nil {
-		for _, s := range specs {
-			if err := f.fault.ArmSpec(s); err != nil {
-				return nil, err
-			}
-		}
-	} else if env := os.Getenv("PARMSF_FAULT"); env != "" {
-		if err := f.fault.ArmSpec(env); err != nil {
+	for _, s := range opt.FaultPoints {
+		if err := f.fault.ArmSpec(s); err != nil {
 			return nil, err
 		}
 	}
@@ -301,10 +293,6 @@ func New(n int, opt Options) (*Forest, error) {
 	f.pub.SetFault(f.fault)
 	if k := opt.SnapshotRebaseEvery; k > 0 {
 		f.pub.SetRebaseEvery(k)
-	} else if env := os.Getenv("PARMSF_SNAPSHOT_REBASE"); env != "" {
-		if k, err := strconv.Atoi(env); err == nil && k > 0 {
-			f.pub.SetRebaseEvery(k)
-		}
 	}
 	f.qa.f = f
 	return f, nil
@@ -342,10 +330,8 @@ func (f *Forest) buildEngine() {
 			// concurrently with no shared counter state; the tree merges
 			// per-node depth (max) and work (sum) through DepthFn/WorkFn,
 			// and the public update entry points absorb those totals back
-			// into the shared machine. Batches run through the pipelined
-			// scheduler — a node applies as soon as its children have
-			// drained into it — with node tasks fanned out over at most
-			// Workers goroutines when a real pool is configured.
+			// into the shared machine. Batch node tasks fan out over at
+			// most Workers goroutines when a real pool is configured.
 			sp = sparsify.New(n, func(localN, maxEdges int) sparsify.Engine {
 				nm := pram.New(false)
 				tw := ternary.New(localN, maxEdges, func(gn int) ternary.Engine {
@@ -366,8 +352,6 @@ func (f *Forest) buildEngine() {
 				}
 				return 0
 			}
-			sp.Exec = func(tasks int, run func(t int)) { f.mach.Run(tasks, run) }
-			sp.Pipeline = true
 			if f.tasks != nil {
 				sp.Spawn = f.tasks.Spawn
 			}
@@ -388,7 +372,7 @@ func (f *Forest) buildEngine() {
 	}
 	// The engine reports forest deltas (so no-op updates skip
 	// republication) and fires the epoch hook once per fully applied
-	// update — past the sparsification pipeline barrier, past the ternary
+	// update — past the sparsify batch scheduler, past the ternary
 	// slot surgeries — at which point the engine is quiescent and a
 	// consistent snapshot can be built and swapped in.
 	switch e := f.eng.(type) {
@@ -505,12 +489,14 @@ func (f *Forest) PublishStats() snapshot.Stats { return f.pub.Stats() }
 
 // publish builds the next snapshot from the engine on pooled buffers and
 // swaps it in with one atomic pointer store. O(n + forest size); amortized
-// across every update a batch coalesced.
+// across every update a batch coalesced. Every engine New builds is
+// core-backed, so a failed component export is a bug: it panics, and
+// mutator containment poisons the forest.
 func (f *Forest) publish() {
 	b := f.pub.Begin(f.n)
 	comp := b.Comp(f.n)
-	if ex, ok := f.eng.(componentExporter); !ok || !ex.ExportComponents(comp, f.n) {
-		f.componentsFromEdges(comp)
+	if !f.eng.ExportComponents(comp, f.n) {
+		panic("parmsf: engine cannot export components")
 	}
 	f.eng.ForestEdges(func(u, v int, w int64) bool {
 		b.AppendEdge(u, v, w)
@@ -518,55 +504,6 @@ func (f *Forest) publish() {
 	})
 	b.SetWeight(f.eng.Weight())
 	f.pub.Publish(b)
-}
-
-// componentExporter is the engine-side snapshot hook: one tour-root sweep
-// through the core structure (reusing the insert-classification kernel)
-// filling a dense component-id array. Engines that cannot export (baseline
-// gadgets in tests) return false and components are derived from the
-// forest edge list instead.
-type componentExporter interface {
-	ExportComponents(comp []int32, upto int) bool
-}
-
-// componentsFromEdges derives the component-id array from the forest edge
-// list with a pooled union-find (path halving): the fallback for engines
-// without the export sweep.
-func (f *Forest) componentsFromEdges(comp []int32) {
-	n := f.n
-	if cap(f.ufPar) < n {
-		f.ufPar = make([]int32, n)
-	}
-	par := f.ufPar[:n]
-	for v := range par {
-		par[v] = int32(v)
-	}
-	find := func(x int32) int32 {
-		for par[x] != x {
-			par[x] = par[par[x]]
-			x = par[x]
-		}
-		return x
-	}
-	f.eng.ForestEdges(func(u, v int, w int64) bool {
-		ru, rv := find(int32(u)), find(int32(v))
-		if ru != rv {
-			par[rv] = ru
-		}
-		return true
-	})
-	for v := range comp {
-		comp[v] = -1
-	}
-	next := int32(0)
-	for v := 0; v < n; v++ {
-		r := find(int32(v))
-		if comp[r] < 0 {
-			comp[r] = next
-			next++
-		}
-		comp[v] = comp[r]
-	}
 }
 
 // nodeMachine extracts the private PRAM simulator of a sparsification node
@@ -765,8 +702,9 @@ type batchEngine interface {
 // sorted batch with its CAdj effect application sharded across the worker
 // pool (one deduplicated, level-parallel aggregate flush per batch instead
 // of one climb per edge). With Options.Sparsify the sorted batch instead
-// enters the Section 5 tree at its leaf nodes and propagates level-by-level,
-// all touched sibling nodes of a level applying concurrently. Application
+// enters the Section 5 tree at its leaf nodes and propagates to the root,
+// each touched node applying once its children have drained into it and
+// runnable nodes applying concurrently. Application
 // order is deterministic — (weight, endpoints, batch index) — so the
 // resulting forest and the PRAM cost counters are independent of the worker
 // count.
@@ -869,8 +807,8 @@ func mapBatchInsertErr(err error) error {
 // replacement search can ever pick an edge the same batch is about to
 // remove. Tree-edge deletions follow, each running its replacement search
 // through the parallel MWR. With Options.Sparsify the batch propagates
-// through the Section 5 tree level-by-level, replacement promotions riding
-// the same sweep as the deletions that caused them.
+// through the Section 5 tree to the root, replacement promotions riding the
+// same propagation as the deletions that caused them.
 //
 // The result is nil when every edge was deleted; otherwise it has one entry
 // per input key, nil for successes and the error Delete would have returned

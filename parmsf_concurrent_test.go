@@ -2,7 +2,9 @@ package parmsf
 
 import (
 	"fmt"
+	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,6 +44,38 @@ func checkSnapshotConsistent(s *Snapshot, n int) string {
 	return ""
 }
 
+// stressRebaseEvery returns the snapshot rebase period the read-plane
+// stress tests pass as Options.SnapshotRebaseEvery: the value of the
+// PARMSF_SNAPSHOT_REBASE environment variable (CI sets it so readers cross
+// era boundaries constantly), or 0 for the capacity-driven default.
+func stressRebaseEvery(t *testing.T) int {
+	t.Helper()
+	env := os.Getenv("PARMSF_SNAPSHOT_REBASE")
+	if env == "" {
+		return 0
+	}
+	k, err := strconv.Atoi(env)
+	if err != nil || k < 1 {
+		t.Fatalf("PARMSF_SNAPSHOT_REBASE=%q: want a positive integer", env)
+	}
+	return k
+}
+
+// checkForcedRebases asserts that a forced rebase period k took effect:
+// the publisher refuses the delta path k epochs after each rebase, so at
+// least one of every k published epochs is a rebase. No-op for k == 0.
+func checkForcedRebases(t *testing.T, f *Forest, k int) {
+	t.Helper()
+	if k == 0 {
+		return
+	}
+	st := f.PublishStats()
+	if want := st.Epochs / uint64(k); st.Epochs < uint64(k) || st.Rebases < want {
+		t.Fatalf("SnapshotRebaseEvery=%d: %d rebases over %d epochs, want at least %d",
+			k, st.Rebases, st.Epochs, want)
+	}
+}
+
 // TestConcurrentReadersDuringBatches is the read-plane stress test: reader
 // goroutines hammer Snapshot/Connected/Components while one writer streams
 // insert and delete batches through the engine. Every observed snapshot
@@ -63,9 +97,10 @@ func TestConcurrentReadersDuringBatches(t *testing.T) {
 			const n = 96
 			const readers = 4
 			const rounds = 25
+			rebase := stressRebaseEvery(t)
 			f := MustNew(n, Options{
 				Sparsify: opt.Sparsify, Workers: opt.Workers,
-				MaxEdges: 8 * n,
+				MaxEdges: 8 * n, SnapshotRebaseEvery: rebase,
 			})
 			defer f.Close()
 
@@ -186,6 +221,7 @@ func TestConcurrentReadersDuringBatches(t *testing.T) {
 			if s.Size() != f.Size() {
 				t.Fatalf("snapshot size %d vs forest size %d after quiescence", s.Size(), f.Size())
 			}
+			checkForcedRebases(t, f, rebase)
 		})
 	}
 }
@@ -356,7 +392,8 @@ func TestFlushWithoutSubmit(t *testing.T) {
 // consistency while the coalescing drainer streams engine batches.
 func TestConcurrentSubmitWithReaders(t *testing.T) {
 	const n = 128
-	f := MustNew(n, Options{Sparsify: true, Workers: 2, QueueDepth: 128, MaxBatch: 64})
+	rebase := stressRebaseEvery(t)
+	f := MustNew(n, Options{Sparsify: true, Workers: 2, QueueDepth: 128, MaxBatch: 64, SnapshotRebaseEvery: rebase})
 	defer f.Close()
 
 	var fail atomic.Value
@@ -439,4 +476,5 @@ func TestConcurrentSubmitWithReaders(t *testing.T) {
 	if msg := checkSnapshotConsistent(s, n); msg != "" {
 		t.Fatalf("final: %s", msg)
 	}
+	checkForcedRebases(t, f, rebase)
 }

@@ -62,8 +62,7 @@ type faultChurn struct {
 
 func newFaultChurn(t *testing.T, n int, opt Options) *faultChurn {
 	t.Helper()
-	// FaultPoints: []string{} pins both forests disarmed regardless of any
-	// PARMSF_FAULT in the environment; the suite arms explicitly via
+	// Both forests are built disarmed; the suite arms explicitly via
 	// ArmFault so the twin can never trip.
 	opt.FaultPoints = []string{}
 	c := &faultChurn{
@@ -281,9 +280,9 @@ func faultConfigs() []struct {
 // stream continues to a final three-way parity check (twin + Kruskal).
 func TestFaultRecoveryParity(t *testing.T) {
 	// The CI injection matrix sets PARMSF_FAULT to one point per job; the
-	// suite then runs exactly that point (the forests themselves are
-	// constructed env-disarmed and armed explicitly, so the sweep selects
-	// rather than double-arms). Unset, every point runs.
+	// suite then runs exactly that point (New never reads the environment
+	// and the forests are armed explicitly, so the sweep selects rather
+	// than double-arms). Unset, every point runs.
 	only := ""
 	if spec := os.Getenv("PARMSF_FAULT"); spec != "" {
 		only = strings.SplitN(strings.SplitN(spec, ",", 2)[0], ":", 2)[0]

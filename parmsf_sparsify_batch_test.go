@@ -9,14 +9,12 @@ import (
 
 // TestSparsifyBatchParity drives identical random mixed batch streams
 // through the per-edge sparsify path, the batched sparsify path on the
-// sequential simulator and on real worker pools of 1, 2 and 4 (all under
-// the pipelined scheduler), a worker-pool run forced back onto the strict
-// level-barrier scheduler, and the flat (non-sparsified) engine, requiring
-// identical forests, weights and per-item errors everywhere, plus
-// identical Time/Work/MaxActive counters across every machine-backed
-// sparsify run — the scheduler and the worker count must both be invisible
-// in the model cost. Run with -race to certify the concurrent node
-// application is data-race free.
+// sequential simulator and on real worker pools of 1, 2 and 4, and the
+// flat (non-sparsified) engine, requiring identical forests, weights and
+// per-item errors everywhere, plus identical Time/Work/MaxActive counters
+// across every machine-backed sparsify run — the worker count must be
+// invisible in the model cost. Run with -race to certify the concurrent
+// node application is data-race free.
 func TestSparsifyBatchParity(t *testing.T) {
 	const n = 48
 	perEdge := MustNew(n, Options{Sparsify: true})
@@ -28,10 +26,6 @@ func TestSparsifyBatchParity(t *testing.T) {
 		defer pf.Close()
 		machined = append(machined, pf)
 	}
-	barrier := MustNew(n, Options{Sparsify: true, Workers: 2})
-	defer barrier.Close()
-	barrier.spars.Pipeline = false // level-barrier scheduler on the pool
-	machined = append(machined, barrier)
 	batched := append([]*Forest{flat}, machined...)
 
 	checkCounters := func(stage string) {
@@ -138,7 +132,7 @@ func TestSparsifyBatchParity(t *testing.T) {
 // TestSparsifyBatchAcceptance is the PR acceptance scenario: a 512-edge
 // mixed update batch (256 deletions spanning tree and non-tree edges plus
 // 256 insertions) on an m = 16n graph with Sparsify set, applied
-// level-by-level with no per-edge fallback, producing bit-identical
+// through the tree with no per-edge fallback, producing bit-identical
 // forests, weights and PRAM counters across Workers in {1, 2, 4}.
 func TestSparsifyBatchAcceptance(t *testing.T) {
 	const (
